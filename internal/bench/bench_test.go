@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,6 +64,75 @@ func TestFigure6Shape(t *testing.T) {
 		r := byBuf[buf]
 		if r.Double.MeanMbps <= r.Single.MeanMbps {
 			t.Errorf("double buffering should win at %d B: double %v vs single %v", buf, r.Double, r.Single)
+		}
+	}
+}
+
+// experimentsTable returns the data rows of the first Markdown table under
+// the EXPERIMENTS.md heading that starts with heading, cells trimmed of
+// whitespace and bold markers.
+func experimentsTable(t *testing.T, heading string) [][]string {
+	t.Helper()
+	data, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n"+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			if len(rows) > 0 {
+				break // end of the first table
+			}
+			continue
+		}
+		var cells []string
+		for _, c := range strings.Split(strings.Trim(line, "|"), "|") {
+			cells = append(cells, strings.Trim(strings.TrimSpace(c), "*"))
+		}
+		rows = append(rows, cells)
+	}
+	if len(rows) < 2 {
+		t.Fatalf("EXPERIMENTS.md %q: no table found", heading)
+	}
+	return rows[2:] // drop the header and the |---| rule
+}
+
+// TestFigure6MatchesExperiments regenerates Figure 6 and requires every
+// point to equal the EXPERIMENTS.md table at its printed 0.1 Mbps
+// precision: Figure 6 is bit-for-bit deterministic, so a wall-clock change
+// that moves any of its Mbps figures is a bug. Figures 8 and 15 cannot be
+// held to their tables this way — concurrent producers make their rows at
+// 10 KB buffers and above differ between two runs of the same code at
+// GOMAXPROCS=1 — so they stay on the shape tests here and on the benchmark's
+// reference envelope (perfbench/reference.json).
+func TestFigure6MatchesExperiments(t *testing.T) {
+	cfg := DefaultFigure6()
+	cfg.Repeats = 1
+	rows, err := RunFigure6(cfg)
+	if err != nil {
+		t.Fatalf("figure 6: %v", err)
+	}
+	table := experimentsTable(t, "## Figure 6")
+	if len(table) != len(rows) {
+		t.Fatalf("EXPERIMENTS.md Figure 6 has %d rows, regenerated %d", len(table), len(rows))
+	}
+	for i, r := range rows {
+		want := table[i]
+		if len(want) != 3 {
+			t.Fatalf("EXPERIMENTS.md Figure 6 row %d: %q, want buf | single | double", i, want)
+		}
+		if buf, err := strconv.Atoi(want[0]); err != nil || buf != r.BufBytes {
+			t.Fatalf("row %d: EXPERIMENTS.md buf %q, regenerated %d B", i, want[0], r.BufBytes)
+		}
+		got := []string{fmt.Sprintf("%.1f", r.Single.MeanMbps), fmt.Sprintf("%.1f", r.Double.MeanMbps)}
+		if got[0] != want[1] || got[1] != want[2] {
+			t.Errorf("buf %d B: regenerated single/double %s/%s Mbps, EXPERIMENTS.md says %s/%s",
+				r.BufBytes, got[0], got[1], want[1], want[2])
 		}
 	}
 }

@@ -9,24 +9,19 @@ import (
 
 // The data-plane microbenchmarks of the zero-copy byte path. Run with
 //
-//	go test ./internal/bench -bench 'MarshalArray|SenderFlush|ResourceUse' -benchmem
+//	go test ./internal/bench -bench 'MarshalArray|SenderFlush|ReceiverReassembly|ResourceUse' -benchmem
 //
 // BenchmarkMarshalArray and BenchmarkSenderFlush must stay allocation-free
 // in steady state (the pre-pooling flush path allocated a frame buffer per
-// flush); BenchmarkResourceUse must stay sub-quadratic in reservation count
-// (the pre-pruning busy list scanned every consumed gap since virtual time
-// zero for lagging requests).
-
-func benchArray() []float64 {
-	arr := make([]float64, perfArrayElems)
-	for i := range arr {
-		arr[i] = float64(i)
-	}
-	return arr
-}
+// flush); BenchmarkSenderFlush and BenchmarkReceiverReassembly must cost
+// time linear in element size at every buffer size (the sender once slid
+// the unflushed tail down per frame, S²/(2B) bytes for an S-byte element);
+// BenchmarkResourceUse must stay sub-quadratic in reservation count (the
+// pre-pruning busy list scanned every consumed gap since virtual time zero
+// for lagging requests).
 
 func BenchmarkMarshalArray(b *testing.B) {
-	arr := benchArray()
+	arr := perfArray(8 * perfArrayElems)
 	b.SetBytes(int64(8 * len(arr)))
 	b.ReportAllocs()
 	if err := MarshalArrayLoop(arr, b.N); err != nil {
@@ -35,7 +30,7 @@ func BenchmarkMarshalArray(b *testing.B) {
 }
 
 func BenchmarkMarshalDecodeArray(b *testing.B) {
-	encoded, err := EncodeAligned(benchArray())
+	encoded, err := EncodeAligned(perfArray(8 * perfArrayElems))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +42,7 @@ func BenchmarkMarshalDecodeArray(b *testing.B) {
 }
 
 func BenchmarkMarshalDecodeArrayBorrowed(b *testing.B) {
-	encoded, err := EncodeAligned(benchArray())
+	encoded, err := EncodeAligned(perfArray(8 * perfArrayElems))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,14 +53,26 @@ func BenchmarkMarshalDecodeArrayBorrowed(b *testing.B) {
 	}
 }
 
-func BenchmarkSenderFlush(b *testing.B) {
-	arr := benchArray()
-	b.SetBytes(int64(8 * len(arr)))
-	b.ReportAllocs()
-	if err := SenderFlushLoop(arr, 64<<10, b.N); err != nil {
-		b.Fatal(err)
+// benchFraming runs loop over the framingBufSizes × framingElemBytes grid,
+// one element per op.
+func benchFraming(b *testing.B, loop func(arr []float64, bufBytes, n int) error) {
+	for _, buf := range framingBufSizes {
+		for _, elemBytes := range framingElemBytes {
+			arr := perfArray(elemBytes)
+			b.Run(framingCell(buf, elemBytes), func(b *testing.B) {
+				b.SetBytes(int64(8 * len(arr)))
+				b.ReportAllocs()
+				if err := loop(arr, buf, b.N); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }
+
+func BenchmarkSenderFlush(b *testing.B) { benchFraming(b, SenderFlushLoop) }
+
+func BenchmarkReceiverReassembly(b *testing.B) { benchFraming(b, ReceiverReassemblyLoop) }
 
 func BenchmarkResourceUse(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {

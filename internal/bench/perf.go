@@ -79,10 +79,39 @@ func cpuModel() string {
 	return ""
 }
 
-// perfArrayElems is the array workload of the data-plane benchmarks:
+// perfArrayElems is the array workload of the marshal benchmarks:
 // 16 Ki float64 = 128 KiB per element, two MPI buffers' worth at the
 // engine's default 64 KiB.
 const perfArrayElems = 16 << 10
+
+// framingBufSizes and framingElemBytes span the regime the paper's MPI
+// sweep runs the sender and receiver drivers in (Figures 6 and 8): buffers
+// from 100 B through the 1000 B optimum and the 64 KiB default to 1 MB,
+// against 1 KB, 300 KB and 3 MB arrays. A per-frame cost that grows with
+// element size over buffer size only shows in the small-buffer, large-array
+// corner.
+var (
+	framingBufSizes  = []int{100, 1000, 64 << 10, 1_000_000}
+	framingElemBytes = []int{1_000, 300_000, 3_000_000}
+)
+
+// framingCell names one cell of the framing grid, e.g. "buf=100/elem=300KB".
+func framingCell(bufBytes, elemBytes int) string {
+	elem := fmt.Sprintf("%dKB", elemBytes/1000)
+	if elemBytes >= 1_000_000 {
+		elem = fmt.Sprintf("%dMB", elemBytes/1_000_000)
+	}
+	return fmt.Sprintf("buf=%d/elem=%s", bufBytes, elem)
+}
+
+// perfArray returns an array whose float data is n bytes long.
+func perfArray(n int) []float64 {
+	arr := make([]float64, n/8)
+	for i := range arr {
+		arr[i] = float64(i)
+	}
+	return arr
+}
 
 // discardConn is a carrier that consumes frames like a receiver driver
 // (recycling pooled payloads) without charging a hardware model.
@@ -180,6 +209,42 @@ func SenderFlushLoop(arr []float64, bufBytes, n int) error {
 	return err
 }
 
+// ReceiverReassemblyLoop feeds n copies of the encoding of arr, cut into
+// bufBytes frames, through one receiver driver and decodes them: the
+// per-producer reassembly path every MPI frame of Figures 6 and 8 takes.
+func ReceiverReassemblyLoop(arr []float64, bufBytes, n int) error {
+	encoded, err := marshal.Append(nil, arr)
+	if err != nil {
+		return err
+	}
+	inbox := make(carrier.Inbox, 64)
+	go func() {
+		defer close(inbox)
+		for i := 0; i < n; i++ {
+			for off := 0; off < len(encoded); off += bufBytes {
+				end := min(off+bufBytes, len(encoded))
+				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "perf", Payload: encoded[off:end]}}
+			}
+		}
+		inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "perf", Last: true}}
+	}()
+	// The engine's default kernel batch.
+	r := rp.NewReceiver(inbox, rp.ReceiverConfig{Producers: 1, BatchFrames: 16})
+	defer r.Close()
+	for got := 0; ; got++ {
+		_, ok, err := r.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			if got != n {
+				return fmt.Errorf("receiver decoded %d elements, want %d", got, n)
+			}
+			return nil
+		}
+	}
+}
+
 // ResourceUseLoop issues n reservations against a fresh resource in the
 // pattern that made the pre-pruning busy list quadratic: a front that
 // advances leaving small unusable gaps, plus a fully lagged straggler
@@ -206,10 +271,7 @@ func ResourceUseLoop(n int) {
 // RunPerf measures the data-plane microbenchmarks and returns the report
 // written to BENCH_dataplane.json by `cmd/scsq-bench -perf`.
 func RunPerf() (PerfReport, error) {
-	arr := make([]float64, perfArrayElems)
-	for i := range arr {
-		arr[i] = float64(i)
-	}
+	arr := perfArray(8 * perfArrayElems)
 	arrBytes := int64(8 * len(arr))
 	encoded, err := EncodeAligned(arr)
 	if err != nil {
@@ -244,12 +306,25 @@ func RunPerf() (PerfReport, error) {
 			benchErr = err
 		}
 	})
-	bench("rp/sender-flush-64k-buffers", 1, arrBytes, func(b *testing.B) {
-		b.ReportAllocs()
-		if err := SenderFlushLoop(arr, 64<<10, b.N); err != nil {
-			benchErr = err
+	for _, loop := range []struct {
+		name string
+		run  func(arr []float64, bufBytes, n int) error
+	}{
+		{"rp/sender-flush/", SenderFlushLoop},
+		{"rp/receiver-reassembly/", ReceiverReassemblyLoop},
+	} {
+		for _, buf := range framingBufSizes {
+			for _, elemBytes := range framingElemBytes {
+				elem := perfArray(elemBytes)
+				bench(loop.name+framingCell(buf, elemBytes), 1, int64(8*len(elem)), func(b *testing.B) {
+					b.ReportAllocs()
+					if err := loop.run(elem, buf, b.N); err != nil {
+						benchErr = err
+					}
+				})
+			}
 		}
-	})
+	}
 	for _, n := range []int{10_000, 100_000} {
 		n := n
 		bench(fmt.Sprintf("vtime/resource-use/n=%d", n), n, 0, func(b *testing.B) {
@@ -287,7 +362,7 @@ func writePerfTable(w io.Writer, title string, r PerfReport) error {
 		return err
 	}
 	for _, res := range r.Results {
-		line := fmt.Sprintf("%-36s %12.1f ns/op %10.2f allocs/op %12.1f B/op",
+		line := fmt.Sprintf("%-46s %12.1f ns/op %10.2f allocs/op %12.1f B/op",
 			res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 		if res.MBPerSec > 0 {
 			line += fmt.Sprintf(" %10.0f MB/s", res.MBPerSec)

@@ -71,7 +71,9 @@ type senderDriver struct {
 	source string
 	owner  string // query id the CPU charges attribute to, parsed once
 
+	// pending holds marshaled bytes; those before pendOff are flushed.
 	pending   []byte
+	pendOff   int
 	pendReady vtime.Time
 	// history of sender-device completion times for the last two flushed
 	// buffers; single buffering gates marshaling on the last one, double
@@ -131,6 +133,12 @@ func (d *senderDriver) bufferFreeAt() vtime.Time {
 // push marshals el into the pending buffer, flushing full frames.
 func (d *senderDriver) push(el sqep.Element) error {
 	var err error
+	// Compact the unflushed tail to the front once per element. Shifting it
+	// after every frame would copy S²/(2B) bytes for an S-byte element at
+	// buffer size B; re-slicing (pending = pending[pendOff:]) would retain
+	// the flushed head and grow a fresh array every element.
+	d.pending = d.pending[:copy(d.pending, d.pending[d.pendOff:])]
+	d.pendOff = 0
 	before := len(d.pending)
 	d.pending, err = marshal.Append(d.pending, el.Value)
 	if err != nil {
@@ -157,9 +165,9 @@ func (d *senderDriver) push(el sqep.Element) error {
 	d.hMarshal.Observe(done.Sub(ready))
 
 	if d.cfg.FlushPerElement {
-		return d.flushFrame(len(d.pending), false)
+		return d.flushFrame(len(d.pending)-d.pendOff, false)
 	}
-	for len(d.pending) >= d.cfg.BufBytes {
+	for len(d.pending)-d.pendOff >= d.cfg.BufBytes {
 		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
 			return err
 		}
@@ -169,21 +177,20 @@ func (d *senderDriver) push(el sqep.Element) error {
 
 // finish flushes the remaining bytes and the end-of-stream frame.
 func (d *senderDriver) finish() error {
-	for len(d.pending) >= d.cfg.BufBytes {
+	for len(d.pending)-d.pendOff >= d.cfg.BufBytes {
 		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
 			return err
 		}
 	}
-	n := len(d.pending)
-	return d.flushFrame(n, true) // possibly empty last frame
+	return d.flushFrame(len(d.pending)-d.pendOff, true) // possibly empty last frame
 }
 
 func (d *senderDriver) flushFrame(n int, last bool) error {
 	var free vtime.Time
 	// The carrier owns the frame once Send is called — error paths recycle a
-	// pooled payload — so each retry attempt pools a fresh copy of the bytes
-	// still sitting in pending. The frame's Offset is the cumulative payload
-	// bytes successfully flushed before it: a replacement RP replaying its
+	// pooled payload — so each retry attempt pools a fresh copy of the n
+	// bytes at pendOff. The frame's Offset is the cumulative payload bytes
+	// successfully flushed before it: a replacement RP replaying its
 	// deterministic stream re-produces the same offsets, which is what lets
 	// a receiver discard the already-ingested prefix exactly once.
 	var traceID uint64
@@ -196,7 +203,7 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 		var payload []byte
 		if n > 0 {
 			payload = carrier.GetBuf(n)
-			copy(payload, d.pending[:n])
+			copy(payload, d.pending[d.pendOff:d.pendOff+n])
 		}
 		fr := carrier.Frame{
 			Source:  d.source,
@@ -228,12 +235,8 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	if traceID != 0 {
 		d.cfg.Tracer.Span(d.cfg.Link, "send", "flush", traceID, d.pendReady, free, int64(n))
 	}
-	// Shift the unflushed tail to the front of pending instead of
-	// re-slicing: pending = pending[n:] would retain the flushed head of
-	// the backing array for the stream's lifetime and force the next
-	// element's append to grow a fresh array every flush.
-	rest := copy(d.pending, d.pending[n:])
-	d.pending = d.pending[:rest]
+	// push compacts the unflushed tail before the next element.
+	d.pendOff += n
 
 	d.hist[0], d.hist[1] = d.hist[1], free
 	d.framesOut++
@@ -645,9 +648,15 @@ func (r *Receiver) finishFrame(p *pendingFrame) error {
 		}
 		rest := data[off:]
 		if len(pend) > 0 {
-			// data aliases pend: slide the remainder to the front so the
-			// backing array is reused instead of growing every frame.
-			r.bufs[fr.Source] = pend[:copy(pend, rest)]
+			// data aliases pend: once objects were decoded, slide the
+			// remainder to the front so the backing array is reused instead
+			// of growing every frame. With none decoded (off == 0) the
+			// slide would copy the buffer onto itself — free in normal
+			// builds, but a full move under -race, S²/B bytes per object.
+			if off > 0 {
+				pend = pend[:copy(pend, rest)]
+			}
+			r.bufs[fr.Source] = pend
 		} else if len(rest) > 0 {
 			// Copy out of the (possibly pooled) payload before it is
 			// recycled, reusing the stale reassembly capacity.
