@@ -36,10 +36,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"scsq/internal/bench"
 )
+
+// figures lists the names -fig accepts besides "all".
+var figures = []string{"6", "8", "15", "ablation", "udp", "mt", "vkernel", "soak", "sysq", "serve", "place"}
+
+// checkFig rejects a -fig name that would select no figure.
+func checkFig(name string) error {
+	if name == "all" || slices.Contains(figures, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -fig %q: want one of %s or all", name, strings.Join(figures, ", "))
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -50,7 +63,7 @@ func main() {
 
 func run() error {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 6, 8, 15, ablation, udp, mt, vkernel, soak, sysq, serve, place or all")
+		fig        = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", ")+" or all")
 		tiny       = flag.Bool("tiny", false, "smoke sizing for -fig vkernel (seconds-scale), -fig soak (single seed), -fig sysq, -fig serve (50 conns) and -fig place (256-node torus)")
 		vkernelOut = flag.String("vkernel-out", "BENCH_vkernel.json", "file the -fig vkernel report is written to")
 		soakOut    = flag.String("soak-out", "BENCH_soak.json", "file the -fig soak report is written to")
@@ -92,6 +105,9 @@ func run() error {
 		}
 		fmt.Fprintf(out, "\nwrote %s\n", *perfOut)
 		return nil
+	}
+	if err := checkFig(*fig); err != nil {
+		return err
 	}
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 

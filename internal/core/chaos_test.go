@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"scsq/internal/carrier"
@@ -16,8 +18,9 @@ import (
 // mergeUnderChaos runs the paper's Query 4/5 shape — n BG generators merged
 // by one BG counter, extracted to the client — under the given injector and
 // supervision budget, and reports the drained count, the first generator's
-// restart tally, and its final node.
-func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, count int, genSeq []int) (any, error, int, int) {
+// restart tally, and its final node. onFirstBuild, if non-nil, sees the
+// PlanBuilder node of every compile of the first generator's subquery.
+func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, count int, genSeq []int, onFirstBuild func(node int)) (any, error, int, int) {
 	t.Helper()
 	e, err := NewEngine(WithChaos(inj), WithSupervision(budget))
 	if err != nil {
@@ -31,6 +34,12 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, cou
 	subs := make([]Subquery, nGens)
 	for i := range subs {
 		subs[i] = gen
+	}
+	if onFirstBuild != nil {
+		subs[0] = func(pb *PlanBuilder) (sqep.Operator, error) {
+			onFirstBuild(pb.Node())
+			return gen(pb)
+		}
 	}
 	a, err := e.SPV(subs, hw.BlueGene, mustSeq(t, genSeq...))
 	if err != nil {
@@ -59,7 +68,8 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, cou
 // three-way merge. The supervisor re-places the dead generator on the next
 // free node of its allocation sequence; the replacement replays its
 // deterministic stream, the receiver's offset tracking discards the
-// already-ingested prefix, and the merged count comes out exact. Three runs
+// already-ingested prefix, and the merged count comes out exact. The
+// replacement recompiles the generator's subquery on its new node. Three runs
 // of the same seed agree bit-for-bit.
 func TestKillNodeMidMergeRecovers(t *testing.T) {
 	const (
@@ -73,9 +83,22 @@ func TestKillNodeMidMergeRecovers(t *testing.T) {
 		restarts int
 		node     int
 	}
+	// builds records PlanBuilder.Node() of each compile of the killed
+	// generator's subquery in the latest run.
+	var (
+		buildsMu sync.Mutex
+		builds   []int
+	)
 	run := func() outcome {
+		buildsMu.Lock()
+		builds = nil
+		buildsMu.Unlock()
 		inj := chaos.New(seed, chaos.CrashAfterSends(hw.BlueGene, 1, 2))
-		v, err, restarts, node := mergeUnderChaos(t, inj, 2, nGens, size, count, []int{1, 2, 3, 4, 5, 6})
+		v, err, restarts, node := mergeUnderChaos(t, inj, 2, nGens, size, count, []int{1, 2, 3, 4, 5, 6}, func(node int) {
+			buildsMu.Lock()
+			builds = append(builds, node)
+			buildsMu.Unlock()
+		})
 		return outcome{v, err, restarts, node}
 	}
 
@@ -91,6 +114,12 @@ func TestKillNodeMidMergeRecovers(t *testing.T) {
 	}
 	if first.node == 1 {
 		t.Fatal("generator still reports the dead node after recovery")
+	}
+	buildsMu.Lock()
+	got := append([]int(nil), builds...)
+	buildsMu.Unlock()
+	if want := []int{1, first.node}; !slices.Equal(got, want) {
+		t.Fatalf("generator subquery compiled on nodes %v, want %v (re-placement must recompile on the new node)", got, want)
 	}
 	for i := 0; i < 2; i++ {
 		again := run()
@@ -112,7 +141,7 @@ func TestRestartBudgetExhaustedPropagatesTypedError(t *testing.T) {
 		chaos.CrashAfterSends(hw.BlueGene, 1, 1),
 		chaos.CrashAfterSends(hw.BlueGene, 2, 1),
 	)
-	_, err, restarts, _ := mergeUnderChaos(t, inj, 1, 1, 30_000, 6, []int{1, 2})
+	_, err, restarts, _ := mergeUnderChaos(t, inj, 1, 1, 30_000, 6, []int{1, 2}, nil)
 	if err == nil {
 		t.Fatal("drain succeeded although every candidate node died")
 	}
@@ -133,7 +162,7 @@ func TestRestartBudgetExhaustedPropagatesTypedError(t *testing.T) {
 // error instead of a silent hang or a truncated "result".
 func TestMergerCrashIsUnrecoverable(t *testing.T) {
 	inj := chaos.New(7, chaos.CrashAtVTime(hw.BlueGene, 0, vtime.Time(1)))
-	v, err, _, _ := mergeUnderChaos(t, inj, 2, 2, 30_000, 4, []int{1, 2, 3})
+	v, err, _, _ := mergeUnderChaos(t, inj, 2, 2, 30_000, 4, []int{1, 2, 3}, nil)
 	if err == nil {
 		t.Fatalf("drain returned %v without error although the merger's node died", v)
 	}
@@ -150,7 +179,7 @@ func TestMergerCrashIsUnrecoverable(t *testing.T) {
 // absorbs them and the query runs to the exact result.
 func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 	inj := chaos.New(3, chaos.FailFirstDials(2))
-	v, err, restarts, _ := mergeUnderChaos(t, inj, 0, 2, 30_000, 5, []int{1, 2})
+	v, err, restarts, _ := mergeUnderChaos(t, inj, 0, 2, 30_000, 5, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatalf("drain with retried dials: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scsq/internal/hw"
+	"scsq/internal/rp"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -200,6 +201,50 @@ func TestDrainAfterResetFailsFast(t *testing.T) {
 	// engine.
 	if _, err := cs.Drain(); !errors.Is(err, ErrStaleQuery) {
 		t.Errorf("drain after reset err = %v, want ErrStaleQuery", err)
+	}
+}
+
+// TestResetKeepsUndrainedHandleIntact builds an SP that never runs, resets
+// the engine, then builds and drains a second SP. The first handle must keep
+// its own process: same identity, zero counters, and no aliasing with the
+// process of the query that ran after the Reset.
+func TestResetKeepsUndrainedHandleIntact(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+		return sqep.NewIota(1, 2), nil
+	}, hw.BackEnd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aID := a.proc().ID()
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+		return sqep.NewIota(1, 3), nil
+	}, hw.BackEnd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := e.Extract(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if els, err := cs.Drain(); err != nil || len(els) != 3 {
+		t.Fatalf("drain = %d elements, %v; want 3", len(els), err)
+	}
+	if got := a.Stats(); got != (rp.Stats{}) {
+		t.Errorf("never-run handle reports stats %+v, want zero", got)
+	}
+	if a.proc() == b.proc() {
+		t.Errorf("handle kept across Reset aliases the next query's process %s", b.proc().ID())
+	}
+	if got := a.proc().ID(); got != aID {
+		t.Errorf("handle process id = %q after Reset, want %q", got, aID)
 	}
 }
 

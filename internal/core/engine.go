@@ -30,7 +30,6 @@ import (
 	"scsq/internal/sqep"
 	"scsq/internal/tcpcar"
 	"scsq/internal/udpcar"
-	"scsq/internal/vtime"
 )
 
 // Engine is a SCSQ instance over a (simulated) hardware environment. The
@@ -56,23 +55,11 @@ type Engine struct {
 	mpiBufBytes int
 	buffering   carrier.Buffering
 	window      int
-	horizon     vtime.Duration
 	kernelBatch int // receiver frames per virtual-time kernel commit
 	clientNode  int // front-end node hosting the client manager
 
-	// rpPool recycles retired running processes across Reset and supervised
-	// re-placement, so spawning an SP reuses a prior incarnation's structures.
-	rpPool rp.Pool
-	// planCache holds pristine operator-tree templates keyed by plan shape
-	// (see planshape.go): shape-identical input-free subqueries share one
-	// template, and a supervised re-placement clones it instead of
-	// re-compiling. Templates are stateless, so the cache survives Reset.
-	planMu    sync.Mutex
-	planCache map[string]sqep.Operator
-
-	inj   *chaos.Injector // nil without WithChaos
-	sup   *Supervisor     // nil without WithSupervision
-	retry carrier.RetryPolicy
+	inj   *chaos.Injector       // nil without WithChaos
+	sup   *Supervisor           // nil without WithSupervision
 	hb    coord.HeartbeatPolicy // zero Interval disables the monitor
 	hbTau time.Duration         // wall-clock cadence of the stale sweep
 
@@ -135,7 +122,6 @@ type engineConfig struct {
 	mpiBufBytes  int
 	buffering    carrier.Buffering
 	window       int
-	horizon      vtime.Duration
 	pollInterval time.Duration
 	realTCP      bool
 	udpLoss      float64
@@ -143,7 +129,6 @@ type engineConfig struct {
 	inj          *chaos.Injector
 	supervise    bool
 	budget       int
-	retry        carrier.RetryPolicy
 	hb           coord.HeartbeatPolicy
 	hbTau        time.Duration
 	tracer       *metrics.Tracer
@@ -231,12 +216,6 @@ func WithSupervision(budget int) Option {
 	})
 }
 
-// WithRetryPolicy overrides the bounded retry applied to carrier dials and
-// transient send failures (default carrier.DefaultRetryPolicy).
-func WithRetryPolicy(p carrier.RetryPolicy) Option {
-	return optionFunc(func(c *engineConfig) { c.retry = p })
-}
-
 // WithHeartbeat enables heartbeat failure detection: RPs beat their
 // coordinator every p.Interval of virtual output time, and a monitor sweep
 // (every tau of wall time) kills RPs whose beats lag the frontier by more
@@ -247,13 +226,6 @@ func WithHeartbeat(p coord.HeartbeatPolicy, tau time.Duration) Option {
 		c.hb = p
 		c.hbTau = tau
 	})
-}
-
-// WithPacerHorizon sets the conservative-pacing window: no RP of a query
-// runs more than this far ahead of its slowest peer in virtual time. Zero
-// disables pacing (fast but wall-clock-scheduling sensitive).
-func WithPacerHorizon(d vtime.Duration) Option {
-	return optionFunc(func(c *engineConfig) { c.horizon = d })
 }
 
 // WithBGPollInterval sets how often bgCC polls feCC for new subqueries.
@@ -297,9 +269,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		mpiBufBytes:  64 * 1024,
 		buffering:    carrier.DoubleBuffered,
 		window:       4,
-		horizon:      vtime.Millisecond,
 		pollInterval: 200 * time.Microsecond,
-		retry:        carrier.DefaultRetryPolicy,
 		kernelBatch:  DefaultKernelBatch,
 		bgWake:       true,
 	}
@@ -333,12 +303,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		mpiBufBytes: cfg.mpiBufBytes,
 		buffering:   cfg.buffering,
 		window:      cfg.window,
-		horizon:     cfg.horizon,
 		kernelBatch: cfg.kernelBatch,
-		planCache:   make(map[string]sqep.Operator),
 		queries:     make(map[string]*queryCtx),
 		inj:         cfg.inj,
-		retry:       cfg.retry,
 		hb:          cfg.hb,
 		hbTau:       cfg.hbTau,
 		reg:         metrics.NewRegistry(),
@@ -478,9 +445,6 @@ func (e *Engine) Reset() error {
 		for _, s := range qc.snapshot() {
 			e.coords[s.cluster].ReleaseFor(qc.id, s.Node())
 			e.coords[s.cluster].Unregister(s.id)
-			// Retired processes go back to the pool; live ones (there are
-			// none past the active check, but Put verifies) are refused.
-			e.rpPool.Put(s.proc())
 		}
 	}
 	for _, cc := range e.coords {
@@ -791,30 +755,13 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Sources: e.sources,
 		Owner:   sp.qc.id,
 	}
-	var (
-		op        sqep.Operator
-		hasInputs bool
-	)
-	if tmpl := sp.template(); tmpl != nil {
-		// Re-placement fast path: the subquery compiled to a cacheable
-		// (input-free) plan before, so clone the pristine template instead
-		// of re-compiling it.
-		if cl, ok := clonePlan(tmpl); ok {
-			op = cl
-		}
+	b := &PlanBuilder{eng: e, cluster: sp.cluster, node: node, spID: sp.id}
+	op, err := sp.sub(b)
+	if err != nil {
+		return nil, false, err
 	}
-	if op == nil {
-		b := &PlanBuilder{eng: e, cluster: sp.cluster, node: node, spID: sp.id}
-		op, err = sp.sub(b)
-		if err != nil {
-			return nil, false, err
-		}
-		hasInputs = b.hasInputs
-		if !hasInputs {
-			sp.setTemplate(e.cachePlanTemplate(op))
-		}
-	}
-	proc := e.rpPool.Get(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
+	hasInputs := b.hasInputs
+	proc := rp.New(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
 	proc.SetMetrics(e.reg)
 	// Only free-running source RPs register as pacing agents: a reactive
 	// RP's timing derives from its (already paced) inputs, and pacing it
@@ -836,27 +783,6 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		}
 	}
 	return proc, hasInputs, nil
-}
-
-// cachePlanTemplate fingerprints a freshly built input-free plan and returns
-// the shared pristine template for its shape, adding one if absent. Nil for
-// uncachable plans (closures, channels, non-zero unexported state).
-func (e *Engine) cachePlanTemplate(op sqep.Operator) sqep.Operator {
-	fp, ok := planFingerprint(op)
-	if !ok {
-		return nil
-	}
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	if tmpl, hit := e.planCache[fp]; hit {
-		return tmpl
-	}
-	tmpl, cloned := clonePlan(op)
-	if !cloned {
-		return nil
-	}
-	e.planCache[fp] = tmpl
-	return tmpl
 }
 
 // SPV assigns each subquery of the set to a new stream process in cluster
@@ -950,9 +876,6 @@ type SP struct {
 	node    int
 	started bool
 	wirings []wiring
-	// tmpl is the shared pristine plan template for this SP's shape (nil if
-	// uncachable): a re-placement clones it instead of re-compiling sub.
-	tmpl sqep.Operator
 }
 
 // wiring records one outgoing subscription of an SP — enough to re-dial it
@@ -985,18 +908,6 @@ func (s *SP) proc() *rp.RP {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rp
-}
-
-func (s *SP) template() sqep.Operator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tmpl
-}
-
-func (s *SP) setTemplate(op sqep.Operator) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tmpl = op
 }
 
 func (s *SP) addWiring(w wiring) {
@@ -1178,7 +1089,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 		scfg rp.SenderConfig
 	)
 	if p.cluster == hw.BlueGene && w.cc == hw.BlueGene {
-		conn, err = carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
+		conn, err = carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
 			c, derr := e.mpi.Dial(pn, w.cn, e.buffering, w.inbox)
 			if derr != nil {
 				return nil, derr
@@ -1198,7 +1109,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	} else {
 		src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
 		dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
-		conn, err = carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
+		conn, err = carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
 			switch {
 			case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
 				c, derr := e.udp.Dial(src, dst, w.inbox)
@@ -1238,7 +1149,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
 		kind = "udp"
 	}
-	scfg.Retry = e.retry
+	scfg.Retry = carrier.DefaultRetryPolicy
 	scfg.Metrics = e.reg
 	scfg.Tracer = e.tracer
 	// The label matches the one the carrier caches at Dial, so sender-side

@@ -25,6 +25,10 @@ var ErrQueryCancelled = errors.New("core: query cancelled")
 // torn-down engine.
 var ErrStaleQuery = errors.New("core: query identity retired (engine Reset or Closed since build)")
 
+// pacerHorizon is the conservative-pacing window: no source RP of a query
+// runs more than this far ahead of its slowest peer in virtual time.
+const pacerHorizon = vtime.Millisecond
+
 // queryCtx is the engine-side identity of one query: the unit of SP/RP
 // ownership, pacing, vtime attribution, and reservation leasing. Every SP
 // the engine builds belongs to exactly one queryCtx; Cancel, Drain, and
@@ -200,7 +204,7 @@ func (e *Engine) newQueryLocked() *queryCtx {
 	qc := &queryCtx{
 		eng:      e,
 		id:       fmt.Sprintf("q%d", e.qSeq),
-		pacer:    vtime.NewPacer(e.horizon),
+		pacer:    vtime.NewPacer(pacerHorizon),
 		cancelCh: make(chan struct{}),
 	}
 	e.queries[qc.id] = qc
@@ -259,7 +263,7 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	qc.nextID = 0
 	// Fresh pacing group: agents registered by the rolled-back processes
 	// never advance, and would gate a future attempt's sources forever.
-	qc.pacer = vtime.NewPacer(e.horizon)
+	qc.pacer = vtime.NewPacer(pacerHorizon)
 	qc.mu.Unlock()
 	for _, sp := range sps {
 		if p := sp.proc(); p != nil {

@@ -80,9 +80,7 @@ func (s *Supervisor) onRPExit(sp *SP, cause error) {
 	}
 	if err := s.replace(sp); err != nil {
 		s.poisonDownstream(sp, fmt.Errorf("core: re-placement of %s failed: %w", sp.id, err))
-		return
 	}
-	s.eng.reg.Counter("supervisor.replacements").Inc()
 }
 
 // replace moves sp to a fresh node and resumes it.
@@ -121,6 +119,9 @@ func (s *Supervisor) replace(sp *SP) error {
 	sp.node = node
 	sp.mu.Unlock()
 	cc.Register(proc)
+	// Counted before Start: once the replacement runs, its stream (and the
+	// whole query) may finish before this goroutine is scheduled again.
+	e.reg.Counter("supervisor.replacements").Inc()
 	return proc.Start()
 }
 
